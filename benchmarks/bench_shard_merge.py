@@ -3,7 +3,7 @@
 The cross-machine acceptance contract of :mod:`repro.batch.sharding`,
 exercised end-to-end exactly as an operator would: the shared mixed
 MFTI/VFTI grid is planned into two shard manifests, each shard runs in its
-own ``python -m repro.batch.shard run`` subprocess (rebuilding the workload
+own ``python -m repro shard run`` subprocess (rebuilding the workload
 from the manifest, sharing one ``DiskStore``), and the merged result must
 reproduce the single-process reference bitwise -- record order, numerical
 payloads, JSON export and cache counters.
@@ -54,7 +54,7 @@ def test_shard_plan_run_merge_equivalence(benchmark, job_grid, reportable,
     shared_store = tmp_path / "store-sharded"
 
     def sharded_cycle():
-        plan = run_cli("plan", "--workload", "mixed_batch_jobs",
+        plan = run_cli("shard", "plan", "--workload", "mixed_batch_jobs",
                        "--workload-args", json.dumps(GRID_KWARGS),
                        "--shards", "2", "--out-dir", str(shard_dir),
                        "--cache-dir", str(shared_store))
@@ -63,7 +63,7 @@ def test_shard_plan_run_merge_equivalence(benchmark, job_grid, reportable,
         for name in sorted(os.listdir(shard_dir)):
             if not name.endswith(".manifest.json"):
                 continue
-            run = run_cli("run", str(shard_dir / name))
+            run = run_cli("shard", "run", str(shard_dir / name))
             assert run.returncode == 0, run.stderr
             shard_files.append(
                 str(shard_dir / name).replace(".manifest.json", ".result.npz"))

@@ -3,10 +3,9 @@
 The array-API standard covers the bulk of what the kernel modules need
 (elementwise ops, ``matmul``, ``reshape``, broadcasting), so a backend is
 mostly just its array namespace (``xp``).  Where the standard has gaps --
-``linalg.lstsq``, ``qr``, ``eig``, ``svd``, ``cholesky``, triangular/LU
-solves, ``fft.irfft`` -- each backend supplies an explicit adapter with
-NumPy's calling convention, so kernel code is written once against this
-record and runs unchanged on every backend.
+``qr``, ``eig``, ``svd``, LU solves, ``fft.irfft`` -- each backend supplies
+an explicit adapter with NumPy's calling convention, so kernel code is
+written once against this record and runs unchanged on every backend.
 
 Two contracts matter for reproducibility:
 
@@ -46,12 +45,9 @@ class ArrayBackend:
     to_numpy:
         Device array back to a host :class:`numpy.ndarray`.  Identity on
         ndarrays for ``numpy``.
-    solve, lstsq, qr, eig, eigvals, svd, cholesky:
-        ``numpy.linalg``-convention adapters (``lstsq`` takes ``(a, b)``
-        and returns the NumPy 4-tuple with an ``int`` rank; ``qr`` returns
-        the reduced ``(q, r)``; ``svd`` the thin ``(u, s, vh)``).
-    solve_triangular:
-        ``scipy.linalg.solve_triangular`` convention (``lower`` keyword).
+    solve, qr, eig, eigvals, svd:
+        ``numpy.linalg``-convention adapters (``qr`` returns the reduced
+        ``(q, r)``; ``svd`` the thin ``(u, s, vh)``).
     lu_factor, lu_solve:
         ``scipy.linalg`` LU convention (``lu_solve((lu, piv), b)``).
     irfft:
@@ -70,13 +66,10 @@ class ArrayBackend:
     asarray: Callable[..., Any]
     to_numpy: Callable[[Any], Any]
     solve: Callable[..., Any]
-    lstsq: Callable[..., Any]
     qr: Callable[..., Any]
     eig: Callable[..., Any]
     eigvals: Callable[..., Any]
     svd: Callable[..., Any]
-    cholesky: Callable[..., Any]
-    solve_triangular: Callable[..., Any]
     lu_factor: Callable[..., Any]
     lu_solve: Callable[..., Any]
     irfft: Callable[..., Any]

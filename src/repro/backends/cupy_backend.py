@@ -36,10 +36,6 @@ def make_backend() -> ArrayBackend:
     import cupy
     import cupyx.scipy.linalg as cupyx_linalg
 
-    def _lstsq(a, b):
-        solution, residuals, rank, sv = cupy.linalg.lstsq(a, b, rcond=None)
-        return solution, residuals, int(rank), sv
-
     def _eig(a):
         # cuSOLVER has no general non-symmetric eig; round-trip via host.
         w, v = np.linalg.eig(cupy.asnumpy(a))
@@ -54,13 +50,10 @@ def make_backend() -> ArrayBackend:
         asarray=cupy.asarray,
         to_numpy=cupy.asnumpy,
         solve=cupy.linalg.solve,
-        lstsq=_lstsq,
         qr=cupy.linalg.qr,
         eig=_eig,
         eigvals=_eigvals,
         svd=cupy.linalg.svd,
-        cholesky=cupy.linalg.cholesky,
-        solve_triangular=cupyx_linalg.solve_triangular,
         lu_factor=cupyx_linalg.lu_factor,
         lu_solve=cupyx_linalg.lu_solve,
         irfft=cupy.fft.irfft,

@@ -20,11 +20,6 @@ from repro.backends.base import ArrayBackend
 __all__ = ["make_backend"]
 
 
-def _lstsq(a, b):
-    solution, residuals, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    return solution, residuals, int(rank), sv
-
-
 def make_backend() -> ArrayBackend:
     """Build the ``numpy`` backend record (importable unconditionally)."""
     return ArrayBackend(
@@ -33,13 +28,10 @@ def make_backend() -> ArrayBackend:
         asarray=np.asarray,
         to_numpy=np.asarray,
         solve=np.linalg.solve,
-        lstsq=_lstsq,
         qr=np.linalg.qr,
         eig=np.linalg.eig,
         eigvals=np.linalg.eigvals,
         svd=np.linalg.svd,
-        cholesky=np.linalg.cholesky,
-        solve_triangular=scipy.linalg.solve_triangular,
         lu_factor=scipy.linalg.lu_factor,
         lu_solve=scipy.linalg.lu_solve,
         irfft=np.fft.irfft,

@@ -87,11 +87,6 @@ class _TorchNamespace:
     def isfinite(self, tensor):
         return self._torch.isfinite(tensor)
 
-    def sum(self, tensor, axis=None):
-        if axis is None:
-            return self._torch.sum(tensor)
-        return self._torch.sum(tensor, dim=axis)
-
     def conj(self, tensor):
         return self._torch.conj(tensor)
 
@@ -127,23 +122,6 @@ def make_backend(device=None) -> ArrayBackend:
             return tensor.detach().cpu().numpy()
         return np.asarray(tensor)
 
-    def _lstsq(a, b):
-        # gelsd matches NumPy's driver (and reports singular values) but
-        # is CPU-only; on CUDA fall back to gels and report an empty
-        # spectrum so callers can tell no conditioning estimate exists.
-        if a.device.type == "cpu":
-            out = torch.linalg.lstsq(a, b, driver="gelsd")
-            return out.solution, out.residuals, int(out.rank), out.singular_values
-        out = torch.linalg.lstsq(a, b, driver="gels")
-        rank = min(a.shape[-2], a.shape[-1])
-        empty_sv = torch.empty(0, dtype=a.real.dtype, device=a.device)
-        return out.solution, out.residuals, rank, empty_sv
-
-    def _solve_triangular(a, b, lower=False):
-        rhs = b if b.ndim >= 2 else b[:, None]
-        solution = torch.linalg.solve_triangular(a, rhs, upper=not lower)
-        return solution if b.ndim >= 2 else solution[:, 0]
-
     def _lu_factor(a):
         lu, pivots = torch.linalg.lu_factor(a)
         return lu, pivots
@@ -172,13 +150,10 @@ def make_backend(device=None) -> ArrayBackend:
         asarray=_asarray,
         to_numpy=_to_numpy,
         solve=torch.linalg.solve,
-        lstsq=_lstsq,
         qr=_qr,
         eig=torch.linalg.eig,
         eigvals=torch.linalg.eigvals,
         svd=_svd,
-        cholesky=torch.linalg.cholesky,
-        solve_triangular=_solve_triangular,
         lu_factor=_lu_factor,
         lu_solve=_lu_solve,
         irfft=_irfft,

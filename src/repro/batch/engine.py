@@ -32,7 +32,7 @@ from repro.backends import BACKEND_NAMES, ENV_VARIABLE
 from repro.batch.jobs import FitJob, JobRecord, run_job
 from repro.batch.results import BatchResult
 from repro.cache.fitcache import FitCache
-from repro.cache.interning import DatasetPool, JobTable, ResponseCache, SharedDatasetArena
+from repro.cache.interning import DatasetPool, JobTable, ResponseCache
 from repro.cache.stores import MemoryStore
 
 __all__ = ["BatchEngine", "EXECUTORS", "contiguous_chunks"]
@@ -92,9 +92,8 @@ def _run_packed_chunk(table: JobTable) -> list[JobRecord]:
     """Worker-side entry point for the process executor.
 
     The chunk arrives as a :class:`~repro.cache.JobTable` -- unique datasets
-    once (pickled or as shared-memory descriptors), jobs as fingerprint
-    refs -- and everything else comes from the worker state installed by
-    :func:`_pool_initializer`.
+    once, jobs as fingerprint refs -- and everything else comes from the
+    worker state installed by :func:`_pool_initializer`.
     """
     chunk = table.unpack(pool=_WORKER_STATE.get("pool"))
     return _run_chunk(
@@ -142,12 +141,6 @@ class BatchEngine:
         Values are bitwise-identical either way; per-record hit/miss tallies
         land on the records.  Serial and thread executors share one cache
         per :meth:`run`; each process worker holds its own.
-    shared_memory:
-        Ship the unique datasets of each process-executor chunk through
-        ``multiprocessing.shared_memory`` instead of pickling them into the
-        chunk payload (reconstruction is fingerprint-verified, creation
-        failures fall back to pickling per dataset).  No effect on the
-        serial/thread executors, which share memory by construction.
     """
 
     executor: str = "serial"
@@ -156,7 +149,6 @@ class BatchEngine:
     cache: Optional[FitCache] = None
     backend: Optional[str] = None
     response_cache: bool = True
-    shared_memory: bool = False
 
     def __post_init__(self):
         if self.executor not in EXECUTORS:
@@ -177,10 +169,9 @@ class BatchEngine:
 
         Lets benchmarks and scripts switch backend without code changes, e.g.
         ``REPRO_BATCH_EXECUTOR=process REPRO_BATCH_WORKERS=4 pytest benchmarks/``.
-        The array backend is likewise picked up from ``REPRO_ARRAY_BACKEND``;
-        ``REPRO_BATCH_SHM=1`` opts the process executor into shared-memory
-        dataset shipping and ``REPRO_BATCH_RESPONSES=0`` disables the
-        cross-job response cache.
+        The array backend is likewise picked up from ``REPRO_ARRAY_BACKEND``
+        and ``REPRO_BATCH_RESPONSES=0`` disables the cross-job response
+        cache.
         """
         def int_env(name: str):
             value = os.environ.get(name)
@@ -208,7 +199,6 @@ class BatchEngine:
             chunk_size=int_env("REPRO_BATCH_CHUNK"),
             backend=os.environ.get(ENV_VARIABLE) or None,
             response_cache=bool_env("REPRO_BATCH_RESPONSES", True),
-            shared_memory=bool_env("REPRO_BATCH_SHM", False),
         )
 
     @classmethod
@@ -217,12 +207,11 @@ class BatchEngine:
 
         Recognised keys (all optional): ``executor``, ``max_workers``,
         ``chunk_size``, ``backend`` (array-backend name for the kernel
-        modules), ``response_cache`` / ``shared_memory`` (bools, see the
-        class attributes), ``cache_dir`` (path -> disk-backed
-        :class:`~repro.cache.FitCache`) and ``memory_cache`` (bool -> fresh
-        memory-backed cache).  The same dict configures the HTTP service, the
-        shard dispatcher and direct-Python callers, so one engine description
-        travels every path.  Unknown keys raise rather than being ignored.
+        modules), ``response_cache`` (bool, see the class attributes),
+        ``cache_dir`` (path -> disk-backed :class:`~repro.cache.FitCache`)
+        and ``memory_cache`` (bool -> fresh memory-backed cache).  The same
+        dict configures the HTTP service, the shard dispatcher and
+        direct-Python callers, so one engine description travels every path.  Unknown keys raise rather than being ignored.
         """
         config = dict(config or {})
         cache_dir = config.pop("cache_dir", None)
@@ -233,9 +222,8 @@ class BatchEngine:
         for key in ("executor", "max_workers", "chunk_size", "backend"):
             if key in config:
                 kwargs[key] = config.pop(key)
-        for key in ("response_cache", "shared_memory"):
-            if key in config:
-                kwargs[key] = bool(config.pop(key))
+        if "response_cache" in config:
+            kwargs["response_cache"] = bool(config.pop("response_cache"))
         if config:
             raise ValueError(
                 f"unknown engine config keys: {', '.join(sorted(config))}"
@@ -263,8 +251,6 @@ class BatchEngine:
             config["backend"] = self.backend
         if not self.response_cache:
             config["response_cache"] = False
-        if self.shared_memory:
-            config["shared_memory"] = True
         if self.cache is not None:
             store = self.cache.store
             if isinstance(store, MemoryStore):
@@ -359,23 +345,18 @@ class BatchEngine:
                 ]
                 chunk_records = [future.result() for future in futures]
         else:
-            # the zero-copy job plane: each chunk crosses the pipe as a
-            # JobTable (unique datasets once, jobs as fingerprint refs);
-            # cache/backend/response-cache install once per worker via the
-            # pool initializer instead of travelling with every chunk
-            arena = SharedDatasetArena() if self.shared_memory else None
-            try:
-                tables = [JobTable.pack(chunk, arena=arena) for chunk in chunks]
-                with ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_pool_initializer,
-                    initargs=(cache, self.backend, self.response_cache),
-                ) as pool:
-                    futures = [pool.submit(_run_packed_chunk, table) for table in tables]
-                    chunk_records = [future.result() for future in futures]
-            finally:
-                if arena is not None:
-                    arena.cleanup()
+            # each chunk crosses the pipe as a JobTable (unique datasets
+            # once, jobs as fingerprint refs); cache/backend/response-cache
+            # install once per worker via the pool initializer instead of
+            # travelling with every chunk
+            tables = [JobTable.pack(chunk) for chunk in chunks]
+            with ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=_pool_initializer,
+                initargs=(cache, self.backend, self.response_cache),
+            ) as pool:
+                futures = [pool.submit(_run_packed_chunk, table) for table in tables]
+                chunk_records = [future.result() for future in futures]
         records = sorted(
             (record for chunk in chunk_records for record in chunk),
             key=lambda record: record.index,

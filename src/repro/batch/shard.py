@@ -1,4 +1,4 @@
-"""``python -m repro.batch.shard`` -- plan / run / merge a sharded batch.
+"""``python -m repro shard`` -- plan / run / merge a sharded batch.
 
 The command-line face of :mod:`repro.batch.sharding`, driving the full
 cross-machine cycle over the named workload grids of
@@ -6,7 +6,7 @@ cross-machine cycle over the named workload grids of
 
 1. **plan** (once, anywhere)::
 
-       python -m repro.batch.shard plan --workload mixed_batch_jobs \\
+       python -m repro shard plan --workload mixed_batch_jobs \\
            --shards 4 --out-dir sharded/ --cache-dir /shared/fit-cache
 
    builds the grid, assigns jobs to shards deterministically and writes one
@@ -14,7 +14,7 @@ cross-machine cycle over the named workload grids of
 
 2. **run** (once per shard, on any machine that sees the manifest)::
 
-       python -m repro.batch.shard run sharded/shard-000-of-004.manifest.json \\
+       python -m repro shard run sharded/shard-000-of-004.manifest.json \\
            --executor process
 
    rebuilds the grid from the manifest's workload entry, verifies it against
@@ -24,7 +24,7 @@ cross-machine cycle over the named workload grids of
 
 3. **merge** (once, anywhere that sees all shard results)::
 
-       python -m repro.batch.shard merge sharded/*.result.npz --out merged.json
+       python -m repro shard merge sharded/*.result.npz --out merged.json
 
    validates the shard files against each other and writes the reassembled
    :class:`~repro.batch.results.BatchResult` JSON export -- identical in
@@ -57,21 +57,18 @@ from repro.batch.sharding import (
     write_shard_result,
 )
 
-__all__ = ["main", "cli_subprocess", "register_shard_commands"]
+__all__ = ["cli_subprocess", "register_shard_commands"]
 
 
-def cli_subprocess(*args: str, timeout: float = 600,
-                   module: str = "repro.batch.shard") -> subprocess.CompletedProcess:
-    """Invoke a repro CLI module in a fresh subprocess, exactly as an operator would.
+def cli_subprocess(*args: str, timeout: float = 600) -> subprocess.CompletedProcess:
+    """Run ``python -m repro *args`` in a fresh subprocess, as an operator would.
 
     The one shared harness behind the differential tests and the CI sharded
     smoke (``benchmarks/bench_shard_merge.py``): it prepends this package's
     ``src`` root to ``PYTHONPATH`` so the child resolves the same ``repro``
     build regardless of how the parent was launched, and captures text
     output.  Keeping it here means the PYTHONPATH handling can never drift
-    between the call sites.  ``module`` defaults to this (deprecated alias)
-    module so existing callers keep exercising the alias path; pass
-    ``module="repro"`` to drive the umbrella CLI.
+    between the call sites.  Shard commands pass ``"shard", ...``.
     """
     src_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -79,7 +76,7 @@ def cli_subprocess(*args: str, timeout: float = 600,
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src_root, env.get("PYTHONPATH")) if part)
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, "-m", "repro", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
 
@@ -149,8 +146,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             overrides["chunk_size"] = args.chunk_size
         if args.backend is not None:
             overrides["backend"] = args.backend
-        if args.shared_memory:
-            overrides["shared_memory"] = True
         if overrides:
             engine = dataclasses.replace(engine, **overrides)
     except ValueError as exc:
@@ -196,8 +191,7 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         launcher=SubprocessLauncher(executor=args.executor, workers=args.workers,
                                     chunk_size=args.chunk_size,
-                                    backend=args.backend,
-                                    shared_memory=args.shared_memory),
+                                    backend=args.backend),
         timeout=args.timeout,
         max_retries=args.max_retries,
         backoff_seconds=args.backoff,
@@ -220,9 +214,7 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 def register_shard_commands(commands) -> None:
     """Attach the ``plan`` / ``run`` / ``merge`` / ``dispatch`` subcommands.
 
-    Shared between the ``python -m repro shard`` umbrella CLI
-    (:mod:`repro.cli`) and this module's deprecated direct entry point, so
-    the two can never drift apart.
+    Called by the ``python -m repro shard`` umbrella CLI (:mod:`repro.cli`).
     """
     plan = commands.add_parser(
         "plan", help="assign a named workload grid to N shard manifests")
@@ -252,10 +244,6 @@ def register_shard_commands(commands) -> None:
     run.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                      help="array backend for the kernel modules "
                           "(default: REPRO_ARRAY_BACKEND or numpy)")
-    run.add_argument("--shared-memory", action="store_true",
-                     help="ship process-executor chunk datasets through "
-                          "multiprocessing.shared_memory (default: "
-                          "REPRO_BATCH_SHM or off)")
     run.add_argument("--out", default=None,
                      help="shard result path (default: next to the manifest)")
     run.set_defaults(handler=cmd_run)
@@ -291,8 +279,6 @@ def register_shard_commands(commands) -> None:
                           help="chunk size forwarded to every shard runner")
     dispatch.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                           help="array backend forwarded to every shard runner")
-    dispatch.add_argument("--shared-memory", action="store_true",
-                          help="forward --shared-memory to every shard runner")
     dispatch.add_argument("--timeout", type=float, default=None,
                           help="per-shard wall-clock budget per attempt (seconds)")
     dispatch.add_argument("--max-retries", type=int, default=2,
@@ -307,32 +293,3 @@ def register_shard_commands(commands) -> None:
                           help="exit 1 when any merged record has status 'failed'")
     dispatch.set_defaults(handler=cmd_dispatch)
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.batch.shard",
-        description=__doc__.splitlines()[0],
-    )
-    register_shard_commands(parser.add_subparsers(dest="command", required=True))
-    return parser
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated alias: forward to ``python -m repro shard ...``.
-
-    Kept so existing scripts and docs don't break; the umbrella CLI
-    (:mod:`repro.cli`) is the supported entry point.
-    """
-    print(
-        "warning: 'python -m repro.batch.shard' is deprecated; "
-        "use 'python -m repro shard' instead",
-        file=sys.stderr,
-    )
-    from repro.cli import main as cli_main
-
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    return cli_main(["shard", *arguments])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

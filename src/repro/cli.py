@@ -24,9 +24,6 @@ counterpart of :mod:`repro.api`):
 
       python -m repro serve --port 8765 --executor thread --workers 4
 
-``python -m repro.batch.shard`` remains as a thin deprecated alias that
-forwards here.
-
 Exit codes: 0 on success, 1 when ``--fail-on-job-errors`` sees failed
 records, 2 on validation/dispatch errors, argparse's usual 2 on bad usage.
 """

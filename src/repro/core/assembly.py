@@ -4,20 +4,15 @@ PR 3 gave the *evaluation* side one vectorized kernel; this module does the
 same for the *fit* side.  Three families of helpers live here:
 
 * **Vector-fitting kernels** -- the partial-fraction basis, the pole
-  relocation companion form, the residue reconstruction, the fast-VF
-  per-entry projection, and the compact conditioned fast-VF *solver*
-  (:func:`vf_scaling_solve`: per-entry Cholesky-QR reduction of each tall
-  projected block to its small R-factor, one well-conditioned stacked
-  solve, automatic fall-back to the stacked-``lstsq`` reference when the
-  reduction is rank-deficient or the conditioning estimate exceeds
-  :data:`VF_COMPACT_CONDITION_LIMIT`), all as mask/index array operations
-  over a precomputed :class:`PoleGrouping` instead of per-pole-group
-  Python loops.  Each kernel keeps its original looped implementation
-  next to it (``*_reference``) as the equivalence oracle for the property
-  tests and the speedup reference for
-  ``benchmarks/bench_fit_pipeline.py`` / ``bench_vf_solver.py`` -- the
+  relocation companion form, the residue reconstruction and the fast-VF
+  per-entry projection with its stacked ``lstsq`` solve
+  (:func:`vf_scaling_solve`), all as mask/index array operations over a
+  precomputed :class:`PoleGrouping` instead of per-pole-group Python
+  loops.  Each kernel keeps its original looped implementation next to it
+  (``*_reference``) as the equivalence oracle for the property tests and
+  the speedup reference for ``benchmarks/bench_fit_pipeline.py`` -- the
   same pattern :mod:`repro.systems.evaluation` uses for the sweep kernel.
-  The basis/projection/solver kernels accept a :mod:`repro.backends`
+  The basis/projection kernels accept a :mod:`repro.backends`
   ``backend=`` argument (NumPy stays bitwise-pinned; the Loewner helpers
   below stay host-NumPy because their bitwise slicing-stability contract
   is defined in terms of host LAPACK arithmetic).
@@ -65,8 +60,6 @@ __all__ = [
     "vf_scaling_blocks",
     "vf_scaling_blocks_reference",
     "vf_scaling_solve",
-    "vf_scaling_solve_reference",
-    "VF_COMPACT_CONDITION_LIMIT",
     "DirectionPlan",
     "embed_directions",
     "generate_direction_sets",
@@ -78,16 +71,6 @@ __all__ = [
 
 #: Relative magnitude below which a pole's imaginary part is treated as zero.
 REAL_POLE_TOLERANCE = 1e-9
-
-#: Condition-number estimate above which :func:`vf_scaling_solve` abandons
-#: the compact Cholesky-QR reduction for the stacked-``lstsq`` reference.
-#: The reduction squares the conditioning (normal-equations territory), so
-#: its error grows like ``cond^2 * eps``: measured against the reference on
-#: structured near-rank-deficient bases this is ~1e-10 at cond 1e4, ~2e-8 at
-#: cond 1e5 and ~1e-6 at cond 1e6 -- the limit keeps the compact path inside
-#: the documented 1e-10..1e-8 agreement band while ill-conditioned systems
-#: (clustered poles, narrow bands) keep the reference's gelsd robustness.
-VF_COMPACT_CONDITION_LIMIT = 1e5
 
 
 def real_pole_mask(poles: np.ndarray) -> np.ndarray:
@@ -337,25 +320,6 @@ def residues_from_coefficients_reference(
     return residues
 
 
-def _vf_scaling_projected(phi, responses, q1, bk):
-    """Projected fast-VF blocks ``(2N, E, n)`` and right-hand sides ``(2N, E)``."""
-    xp = bk.xp
-    n_samples, n_entries = responses.shape
-    phi_dev = bk.asarray(phi)
-    resp_dev = bk.asarray(responses)
-    q1_dev = bk.asarray(q1)
-    weighted = -resp_dev[:, :, xp.newaxis] * phi_dev[:, xp.newaxis, :]  # (N, E, n)
-    weighted = xp.concatenate([weighted.real, weighted.imag], axis=0)  # (2N, E, n)
-    rhs = xp.concatenate([resp_dev.real, resp_dev.imag], axis=0)  # (2N, E)
-
-    flat = weighted.reshape(2 * n_samples, -1)
-    projected = flat - xp.matmul(q1_dev, xp.matmul(q1_dev.T, flat))
-    projected = projected.reshape(2 * n_samples, n_entries, -1)
-
-    rhs_projected = rhs - xp.matmul(q1_dev, xp.matmul(q1_dev.T, rhs))
-    return projected, rhs_projected
-
-
 def vf_scaling_blocks(
     phi: np.ndarray,
     responses: np.ndarray,
@@ -374,12 +338,23 @@ def vf_scaling_blocks(
     per iteration** and all entries share two large GEMMs.
 
     Returns ``(a_stacked, b_stacked)`` with the entry blocks in the same
-    row order as the reference (bitwise identical to it on ``numpy``).
+    row order as the reference (equal to it up to round-off: batching
+    reorders the projection sums).
     """
     bk = resolve_backend(backend)
     xp = bk.xp
     n_samples, n_entries = responses.shape
-    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
+    phi_dev = bk.asarray(phi)
+    resp_dev = bk.asarray(responses)
+    q1_dev = bk.asarray(q1)
+    weighted = -resp_dev[:, :, xp.newaxis] * phi_dev[:, xp.newaxis, :]  # (N, E, n)
+    weighted = xp.concatenate([weighted.real, weighted.imag], axis=0)  # (2N, E, n)
+    rhs = xp.concatenate([resp_dev.real, resp_dev.imag], axis=0)  # (2N, E)
+
+    flat = weighted.reshape(2 * n_samples, -1)
+    projected = flat - xp.matmul(q1_dev, xp.matmul(q1_dev.T, flat))
+    projected = projected.reshape(2 * n_samples, n_entries, -1)
+    rhs_projected = rhs - xp.matmul(q1_dev, xp.matmul(q1_dev.T, rhs))
     a_stacked = xp.transpose(projected, (1, 0, 2)).reshape(
         n_entries * 2 * n_samples, -1
     )
@@ -387,116 +362,20 @@ def vf_scaling_blocks(
     return bk.to_numpy(a_stacked), bk.to_numpy(b_stacked)
 
 
-def vf_scaling_solve_reference(
-    phi: np.ndarray,
-    responses: np.ndarray,
-    q1: np.ndarray,
-) -> np.ndarray:
-    """The pre-compaction fast-VF solve: stacked projection + one tall ``lstsq``.
-
-    This is exactly the solver :func:`repro.vectorfitting.fitting.vector_fit`
-    used before :func:`vf_scaling_solve` existed; it is kept as the
-    equivalence oracle for the compact path, the conditioning fallback
-    target, and the speedup reference for ``benchmarks/bench_vf_solver.py``.
-    """
-    a_stacked, b_stacked = vf_scaling_blocks(phi, responses, q1, backend="numpy")
-    return np.linalg.lstsq(a_stacked, b_stacked, rcond=None)[0]
-
-
-def _vf_scaling_solve_compact(phi, responses, q1, bk, condition_limit):
-    """Per-entry Cholesky-QR reduction of the fast-VF system; raises on doubt.
-
-    Each entry's tall projected block ``[A_j | b_j]`` (``2N x (n+1)``) is
-    reduced to its small upper-triangular R-factor via the Gram matrix
-    (``R_j^T R_j = [A_j | b_j]^T [A_j | b_j]``, one batched GEMM + batched
-    Cholesky instead of ``E`` tall QRs); stacking the ``R_j`` gives a
-    ``E(n+1) x n`` system with *exactly* the singular values of the full
-    stacked system, so the final small ``lstsq`` both solves it and prices
-    its conditioning for free.  Raises :exc:`numpy.linalg.LinAlgError`
-    (or the backend's equivalent) when any Gram block is not numerically
-    SPD, the reduction is rank-deficient/non-finite, or the condition
-    estimate exceeds ``condition_limit`` -- the public wrapper then falls
-    back to :func:`vf_scaling_solve_reference`.
-    """
-    xp = bk.xp
-    projected, rhs_projected = _vf_scaling_projected(phi, responses, q1, bk)
-    blocks = xp.transpose(projected, (1, 0, 2))  # (E, 2N, n)
-    rhs = xp.transpose(rhs_projected, (1, 0))  # (E, 2N)
-    return _vf_compact_reduce(blocks, rhs, bk, condition_limit)
-
-
-def _vf_compact_reduce(blocks, rhs, bk, condition_limit):
-    """The compact solve stage: per-entry R-factors + one small stacked solve.
-
-    ``blocks`` is the ``(E, 2N, n)`` stack of projected per-entry systems
-    and ``rhs`` the matching ``(E, 2N)`` right-hand sides; this is the
-    stage that replaces the tall ``E*2N x n`` stacked ``lstsq`` and the
-    unit ``benchmarks/bench_vf_solver.py`` gates >=2x.
-    """
-    xp = bk.xp
-    n_entries, _, n_coeffs = blocks.shape
-    aug = xp.concatenate([blocks, rhs[:, :, xp.newaxis]], axis=2)  # (E, 2N, n+1)
-    gram = xp.matmul(xp.transpose(aug, (0, 2, 1)), aug)  # (E, n+1, n+1)
-    r_factor = xp.transpose(bk.cholesky(gram), (0, 2, 1))  # upper-triangular
-    a_small = r_factor[:, :, :n_coeffs].reshape(n_entries * (n_coeffs + 1), n_coeffs)
-    b_small = r_factor[:, :, n_coeffs].reshape(n_entries * (n_coeffs + 1))
-    solution, _, rank, sv = bk.lstsq(a_small, b_small)
-    sv = bk.to_numpy(sv)
-    if rank < n_coeffs or not np.all(np.isfinite(bk.to_numpy(solution))):
-        raise np.linalg.LinAlgError("compact fast-VF reduction is rank-deficient")
-    if sv.size:
-        largest, smallest = float(sv[0]), float(sv[-1])
-        if smallest <= 0.0 or largest > condition_limit * smallest:
-            raise np.linalg.LinAlgError(
-                "compact fast-VF reduction exceeds the conditioning limit"
-            )
-    # One step of iterative refinement against the *tall* blocks: the
-    # Gram reduction squares the conditioning, so the raw compact solution
-    # carries ~cond^2*eps error; a working-precision residual pushed back
-    # through the (exact) summed Gram recovers ~cond*eps accuracy for an
-    # O(1/n) fraction of the reduction's FLOPs.
-    residual = rhs - xp.matmul(blocks, solution)  # (E, 2N)
-    gradient = xp.matmul(
-        xp.transpose(blocks, (0, 2, 1)), residual[:, :, xp.newaxis]
-    )  # (E, n, 1)
-    gradient = xp.sum(gradient, axis=0)[:, 0]  # A^T r, (n,)
-    gram_full = xp.sum(gram[:, :n_coeffs, :n_coeffs], axis=0)  # A^T A, (n, n)
-    lower = bk.cholesky(gram_full)
-    correction = bk.solve_triangular(
-        lower.T, bk.solve_triangular(lower, gradient, lower=True), lower=False
-    )
-    solution = bk.to_numpy(solution + correction)
-    if not np.all(np.isfinite(solution)):
-        raise np.linalg.LinAlgError("compact fast-VF refinement diverged")
-    return solution
-
-
 def vf_scaling_solve(
     phi: np.ndarray,
     responses: np.ndarray,
     q1: np.ndarray,
-    *,
-    backend=None,
-    condition_limit: float = VF_COMPACT_CONDITION_LIMIT,
 ) -> np.ndarray:
     """Solve the stacked fast-VF system for the scaling coefficients.
 
-    The compact path reduces each entry's tall projected block to its small
-    R-factor (batched Cholesky-QR, see :func:`_vf_scaling_solve_compact`)
-    and solves one well-conditioned ``E(n+1) x n`` system -- replacing the
-    ``E 2N x n`` stacked ``lstsq`` that dominated the vector-fitting
-    iteration.  Because the R-stack shares the full system's singular
-    values, the conditioning of the original system is estimated exactly
-    from the small solve; anything rank-deficient, non-finite, or beyond
-    ``condition_limit`` (``cond^2`` error growth -- the ``gelss``/``gelsd``
-    LAPACK-driver caution applies) automatically falls back to
-    :func:`vf_scaling_solve_reference`, the pre-compaction solver.
+    One tall ``lstsq`` over the stacked blocks of :func:`vf_scaling_blocks`.
+    The solve works on the stack, not entry by entry: on the paper's shapes
+    each projected per-entry block has rank at most ``2N - n - 1 < n + 1``,
+    so a per-entry normal-equations reduction would be singular.
     """
-    bk = resolve_backend(backend)
-    try:
-        return _vf_scaling_solve_compact(phi, responses, q1, bk, condition_limit)
-    except bk.LinAlgError:
-        return vf_scaling_solve_reference(phi, responses, q1)
+    a_stacked, b_stacked = vf_scaling_blocks(phi, responses, q1, backend="numpy")
+    return np.linalg.lstsq(a_stacked, b_stacked, rcond=None)[0]
 
 
 def vf_scaling_blocks_reference(

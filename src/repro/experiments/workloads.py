@@ -438,7 +438,7 @@ def passive_macromodel_jobs(
 
 #: The shardable named grids: every entry is deterministic for fixed kwargs,
 #: which is what lets a shard manifest reference jobs by (name, kwargs) and a
-#: worker machine rebuild them bit-exactly (``python -m repro.batch.shard``).
+#: worker machine rebuild them bit-exactly (``python -m repro shard``).
 WORKLOADS: dict[str, Callable[..., list[FitJob]]] = {
     "mixed_batch_jobs": mixed_batch_jobs,
     "monte_carlo_jobs": monte_carlo_jobs,

@@ -84,8 +84,8 @@ class SubprocessLauncher(Launcher):
     The runner subprocess is exactly the operator CLI -- same argv, same
     PYTHONPATH injection as :func:`repro.batch.shard.cli_subprocess` -- so
     the dispatcher exercises the identical code path a manual cross-machine
-    run would.  ``executor`` / ``workers`` / ``chunk_size`` / ``backend`` /
-    ``shared_memory`` forward to the runner's engine flags.
+    run would.  ``executor`` / ``workers`` / ``chunk_size`` / ``backend``
+    forward to the runner's engine flags.
     """
 
     name = "subprocess"
@@ -93,13 +93,11 @@ class SubprocessLauncher(Launcher):
     def __init__(self, *, executor: Optional[str] = None,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 shared_memory: bool = False):
+                 backend: Optional[str] = None):
         self.executor = executor
         self.workers = workers
         self.chunk_size = chunk_size
         self.backend = backend
-        self.shared_memory = bool(shared_memory)
 
     def _argv(self, manifest_path: str, result_path: str) -> list[str]:
         argv = [sys.executable, "-m", "repro", "shard", "run",
@@ -112,8 +110,6 @@ class SubprocessLauncher(Launcher):
             argv += ["--chunk-size", str(self.chunk_size)]
         if self.backend is not None:
             argv += ["--backend", self.backend]
-        if self.shared_memory:
-            argv += ["--shared-memory"]
         return argv
 
     def _popen(self, argv: list[str]) -> subprocess.Popen:

@@ -63,6 +63,11 @@ class VectorFitResult:
         Relative pole displacement per iteration (convergence trace).
     elapsed_seconds:
         Wall-clock time of the whole fit.
+    underdetermined:
+        Whether the realified sample count ``2N`` is at most the basis
+        column count (poles plus the constant term).  Then ``q1`` spans
+        every row, the fast-VF projection leaves only round-off, and pole
+        relocation is driven by that round-off rather than by the data.
     """
 
     model: PoleResidueModel
@@ -70,6 +75,7 @@ class VectorFitResult:
     n_iterations: int
     pole_history: tuple[float, ...] = field(default_factory=tuple)
     elapsed_seconds: float = 0.0
+    underdetermined: bool = False
 
     @property
     def order(self) -> int:
@@ -216,9 +222,7 @@ def vector_fit(
         # orthogonal projector onto the complement of the per-entry basis
         q1, _ = np.linalg.qr(phi1_real)
 
-        # fast-VF projection + compact conditioned solve of every matrix
-        # entry, batched in one kernel call (falls back to the stacked
-        # lstsq reference on ill-conditioned bases)
+        # fast-VF projection of every matrix entry + one stacked lstsq
         c_tilde = vf_scaling_solve(phi, responses, q1)
 
         new_poles = _relocate_poles(poles, grouping, c_tilde,
@@ -251,4 +255,5 @@ def vector_fit(
         n_iterations=iterations_done,
         pole_history=tuple(history),
         elapsed_seconds=float(elapsed),
+        underdetermined=bool(phi1_real.shape[0] <= phi1_real.shape[1]),
     )

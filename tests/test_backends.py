@@ -8,9 +8,8 @@ The contract under test has three legs:
   sequence of the pre-shim kernels, so explicit ``backend="numpy"``,
   no backend at all, and hand-inlined pre-shim replicas all agree to the
   byte (property-tested across random workloads),
-* **compact fast-VF solver** -- agreement with the stacked-``lstsq``
-  oracle on well-conditioned systems and the automatic fallback on
-  near-rank-deficient bases.
+* **fast-VF solve** -- :func:`vf_scaling_solve` agrees with ``lstsq``
+  over the looped block oracle.
 
 Optional cupy/torch backends are covered by equivalence tests that skip
 (visibly, not silently) when the library is absent.
@@ -36,12 +35,11 @@ from repro.backends import (
     use_backend,
 )
 from repro.core.assembly import (
-    VF_COMPACT_CONDITION_LIMIT,
     PoleGrouping,
     partial_fraction_basis,
     vf_scaling_blocks,
+    vf_scaling_blocks_reference,
     vf_scaling_solve,
-    vf_scaling_solve_reference,
 )
 from repro.utils.linalg import realify
 
@@ -228,27 +226,37 @@ class TestNumpyBitwise:
         assert np.array_equal(default, preshim)
 
 
-class TestCompactSolver:
+class TestFastVfSolve:
     @BACKEND_SETTINGS
     @given(seed=st.integers(0, 2**16), n_ports=st.integers(2, 5))
-    def test_agrees_with_reference_when_well_conditioned(self, seed, n_ports):
+    def test_matches_lstsq_over_looped_blocks(self, seed, n_ports):
         phi, responses, q1 = _vf_workload(seed, n_ports=n_ports)
-        reference = vf_scaling_solve_reference(phi, responses, q1)
-        compact = vf_scaling_solve(phi, responses, q1)
-        relative = np.linalg.norm(compact - reference) / np.linalg.norm(reference)
-        assert relative <= 1e-10, f"compact solution drifted {relative:.2e}"
+        oracle = np.linalg.lstsq(
+            *vf_scaling_blocks_reference(phi, responses, q1), rcond=None
+        )[0]
+        solved = vf_scaling_solve(phi, responses, q1)
+        relative = np.linalg.norm(solved - oracle) / np.linalg.norm(oracle)
+        assert relative <= 1e-12, f"fast-VF solve drifted {relative:.2e}"
 
-    def test_degenerate_basis_falls_back_to_reference(self):
-        """A duplicated basis column defeats the Cholesky: exact fallback."""
+    @staticmethod
+    def _assert_matches_oracle(phi, responses, q1):
+        a_ref, b_ref = vf_scaling_blocks_reference(phi, responses, q1)
+        oracle = np.linalg.lstsq(a_ref, b_ref, rcond=None)[0]
+        solved = vf_scaling_solve(phi, responses, q1)
+        relative = np.linalg.norm(solved - oracle) / np.linalg.norm(oracle)
+        assert relative <= 1e-12, f"fast-VF solve drifted {relative:.2e}"
+        return a_ref, b_ref
+
+    def test_degenerate_basis_matches_oracle(self):
+        """A duplicated basis column: both give the minimum-norm LS solution."""
         phi, responses, q1 = _vf_workload(3, n_ports=2)
         phi_bad = phi.copy()
         phi_bad[:, 1] = phi_bad[:, 0]  # rank-deficient weighted blocks
-        fallback = vf_scaling_solve(phi_bad, responses, q1)
-        reference = vf_scaling_solve_reference(phi_bad, responses, q1)
-        assert np.array_equal(fallback, reference)
+        a_ref, _ = self._assert_matches_oracle(phi_bad, responses, q1)
+        assert np.linalg.matrix_rank(a_ref) < a_ref.shape[1]
 
-    def test_near_rank_deficient_basis_falls_back(self):
-        """Clustered poles push the conditioning gate: exact fallback."""
+    def test_near_rank_deficient_basis_matches_oracle(self):
+        """Clustered poles make the basis numerically rank-deficient."""
         rng = np.random.default_rng(11)
         n_samples, n_entries = 40, 4
         poles = np.array([-1.0, -1.0 - 1e-13, -2.0, -2.0 - 1e-13])
@@ -260,16 +268,24 @@ class TestCompactSolver:
         )
         phi1_real = realify(np.hstack([phi, np.ones((n_samples, 1))]))
         q1, _ = np.linalg.qr(phi1_real)
-        fallback = vf_scaling_solve(phi, responses, q1)
-        reference = vf_scaling_solve_reference(phi, responses, q1)
-        assert np.array_equal(fallback, reference)
+        self._assert_matches_oracle(phi, responses, q1)
 
-    def test_tight_condition_limit_forces_fallback(self):
-        phi, responses, q1 = _vf_workload(5)
-        forced = vf_scaling_solve(phi, responses, q1, condition_limit=1.0)
-        reference = vf_scaling_solve_reference(phi, responses, q1)
-        assert np.array_equal(forced, reference)
-        assert VF_COMPACT_CONDITION_LIMIT > 1.0
+    def test_singular_per_entry_blocks_stack_to_full_rank(self):
+        """The paper's regime: 2N - n - 1 < n + 1, so each entry block is singular.
+
+        Only the stack over entries has full column rank; the solve must
+        still reproduce the looped oracle.
+        """
+        n_ports, n_poles, n_samples = 2, 30, 20
+        phi, responses, q1 = _vf_workload(
+            4, n_ports=n_ports, n_poles=n_poles, n_samples=n_samples
+        )
+        assert 2 * n_samples - n_poles - 1 < n_poles + 1
+        a_ref, b_ref = self._assert_matches_oracle(phi, responses, q1)
+        rows = 2 * n_samples
+        first_block = np.column_stack([a_ref[:rows], b_ref[:rows]])
+        assert np.linalg.matrix_rank(first_block) < n_poles + 1
+        assert np.linalg.matrix_rank(a_ref) == n_poles
 
 
 class TestResidueQrReuse:
@@ -401,13 +417,6 @@ class TestOptionalBackendEquivalence:
         got_a, got_b = vf_scaling_blocks(phi, responses, q1, backend=backend)
         assert np.allclose(got_a, want_a, rtol=1e-8, atol=1e-10)
         assert np.allclose(got_b, want_b, rtol=1e-8, atol=1e-10)
-
-    def test_compact_solve_close(self, name):
-        backend = self._backend_or_skip(name)
-        phi, responses, q1 = _vf_workload(22)
-        want = vf_scaling_solve(phi, responses, q1)
-        got = vf_scaling_solve(phi, responses, q1, backend=backend)
-        assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
 
     def test_evaluation_close(self, name):
         from repro.systems.evaluation import evaluate_descriptor

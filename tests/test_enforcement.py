@@ -484,6 +484,7 @@ class TestPassiveMacromodelAcceptance:
     def test_two_shard_cli_round_trip_merges_bitwise(self, grid_jobs, reference_run, tmp_path):
         shard_dir = tmp_path / "shards"
         plan = run_cli(
+            "shard",
             "plan",
             "--workload",
             "passive_macromodel_jobs",
@@ -499,7 +500,7 @@ class TestPassiveMacromodelAcceptance:
         assert len(manifests) == 2
         shard_files = []
         for manifest in manifests:
-            run = run_cli("run", str(manifest))
+            run = run_cli("shard", "run", str(manifest))
             assert run.returncode == 0, run.stderr
             shard_files.append(str(manifest).replace(".manifest.json", ".result.npz"))
         merged = merge_shard_results(shard_files)

@@ -19,8 +19,7 @@ Four layers of defence:
   budget raises :class:`DispatchError`.
 
 The CLI consolidation rides along: the umbrella ``python -m repro shard``
-and the deprecated ``python -m repro.batch.shard`` alias (with its warning)
-are exercised as real subprocesses.
+is exercised as a real subprocess.
 """
 
 from __future__ import annotations
@@ -495,19 +494,6 @@ class TestCli:
             "shard", "plan", "--workload", "port_sweep_jobs",
             "--workload-args", json.dumps(GRID_KWARGS),
             "--shards", "2", "--out-dir", str(tmp_path),
-            module="repro",
         )
         assert completed.returncode == 0, completed.stderr
-        assert "deprecated" not in completed.stderr
-        assert len(list(tmp_path.glob("*.manifest.json"))) == 2
-
-    def test_deprecated_alias_still_works_with_warning(self, tmp_path):
-        completed = cli_subprocess(
-            "plan", "--workload", "port_sweep_jobs",
-            "--workload-args", json.dumps(GRID_KWARGS),
-            "--shards", "2", "--out-dir", str(tmp_path),
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "deprecated" in completed.stderr
-        assert "python -m repro shard" in completed.stderr
         assert len(list(tmp_path.glob("*.manifest.json"))) == 2

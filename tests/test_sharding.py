@@ -11,7 +11,7 @@ Three layers of defence:
   included) and every merge rejection path (mismatched plan fingerprints,
   duplicate / missing / out-of-plan jobs);
 * the **differential test**: ``mixed_batch_jobs`` run unsharded vs. 2-shard
-  (full subprocess round-trip through the ``python -m repro.batch.shard``
+  (full subprocess round-trip through the ``python -m repro shard``
   CLI) and 3-shard (in-process, mixed executors) must produce merged
   results whose record order, numerical payloads, summary tables and JSON
   exports are *identical* to the single-process run -- including the cache
@@ -391,7 +391,7 @@ class TestShardedRunsMatchUnsharded:
         shard_dir = tmp_path / "shards"
         shared_store = tmp_path / "store-sharded"
         plan = run_cli(
-            "plan", "--workload", "mixed_batch_jobs",
+            "shard", "plan", "--workload", "mixed_batch_jobs",
             "--workload-args", json.dumps(GRID_KWARGS),
             "--shards", "2", "--out-dir", str(shard_dir),
             "--cache-dir", str(shared_store),
@@ -411,7 +411,7 @@ class TestShardedRunsMatchUnsharded:
                                        ("warm", warm_reference)):
             shard_files = []
             for manifest in manifests:
-                run = run_cli("run", str(manifest))
+                run = run_cli("shard", "run", str(manifest))
                 assert run.returncode == 0, run.stderr
                 shard_files.append(
                     str(manifest).replace(".manifest.json", ".result.npz"))
@@ -465,7 +465,7 @@ class TestShardedRunsMatchUnsharded:
             shard_files.append(write_shard_result(
                 path.replace(".manifest.json", ".result.npz"), manifest, result))
         out = tmp_path / "merged.json"
-        merge = run_cli("merge", *shard_files, "--out", str(out))
+        merge = run_cli("shard", "merge", *shard_files, "--out", str(out))
         assert merge.returncode == 0, merge.stderr
         exported = json.loads(out.read_text())
         assert exported["n_jobs"] == reference_run.n_jobs
@@ -481,11 +481,11 @@ class TestShardedRunsMatchUnsharded:
         assert exported_jobs == reference_jobs
 
     def test_cli_surfaces_validation_errors(self, tmp_path):
-        bad = run_cli("plan", "--workload", "no-such-grid",
+        bad = run_cli("shard", "plan", "--workload", "no-such-grid",
                       "--shards", "2", "--out-dir", str(tmp_path))
         assert bad.returncode == 2
         assert "unknown workload" in bad.stderr
-        missing = run_cli("run", str(tmp_path / "no-such.manifest.json"))
+        missing = run_cli("shard", "run", str(tmp_path / "no-such.manifest.json"))
         assert missing.returncode == 2
         assert "cannot read manifest" in missing.stderr
 

@@ -1,9 +1,12 @@
 """Tests for the vector-fitting baseline (:mod:`repro.vectorfitting`)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.data import log_frequencies, sample_scattering
+from repro.data import linear_frequencies, log_frequencies, sample_scattering
+from repro.experiments.example2 import Example2Config
 from repro.metrics import aggregate_error
 from repro.systems.random_systems import random_stable_system
 from repro.vectorfitting.fitting import vector_fit
@@ -152,6 +155,44 @@ class TestVectorFit:
         result = vector_fit(data, n_poles=8, n_iterations=8)
         err = aggregate_error(result.frequency_response(data.frequencies_hz), data.samples)
         assert err < 1e-5
+
+
+class TestFastVfGolden:
+    """Byte-level pin of ``vector_fit`` where every pole count exceeds the
+    rank of the projected per-entry blocks (``2N - n - 1 < n + 1``), the
+    regime of the paper's Table-1 VF rows."""
+
+    #: sha256 of the sampled data and of the fitted poles/residues/D.
+    DATA_SHA256 = "903e95617830bcc18005c57e805f060045efd5bc5093e840e3066c543259a608"
+    FIT_SHA256 = "ed52f9317a94f0f210c110f271bada2fc0ff4e2131556f52858e3c49fec5929a"
+
+    @staticmethod
+    def _digest(*arrays) -> str:
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return digest.hexdigest()
+
+    def test_pdn_fit_is_byte_identical(self, tiny_pdn_system):
+        n_samples, n_poles = 40, 50
+        assert 2 * n_samples - n_poles - 1 < n_poles + 1
+        data = sample_scattering(tiny_pdn_system, linear_frequencies(1e6, 1e9, n_samples),
+                                 system_kind="Z", label="tiny pdn")
+        assert self._digest(data.samples) == self.DATA_SHA256
+        result = vector_fit(data, n_poles, n_iterations=3)
+        model = result.model
+        assert self._digest(model.poles, model.residues, model.d) == self.FIT_SHA256
+        assert not result.underdetermined
+
+    @pytest.mark.parametrize("n_poles, expected", [(140, False), (280, True)])
+    def test_underdetermined_flag_on_table1_shapes(self, tiny_pdn_system, n_poles,
+                                                   expected):
+        n_samples = Example2Config().n_samples
+        data = sample_scattering(tiny_pdn_system,
+                                 linear_frequencies(1e6, 2.5e9, n_samples),
+                                 system_kind="Z")
+        result = vector_fit(data, n_poles, n_iterations=1)
+        assert result.underdetermined is expected
 
 
 class TestPassivity:
